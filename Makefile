@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke
+.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke fuzz-smoke
 
-ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race bench-smoke smoke smoke-cluster
+ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke bench-smoke smoke smoke-cluster
 
 # Metrics contract gate: scrape a fully-attached in-memory daemon and
 # fail on any chatvis_* name that is not snake_case, lacks HELP/TYPE
@@ -28,6 +28,12 @@ calibrate-smoke:
 # schema or IR drift, before the test suite renders anything.
 plan-validate:
 	$(GO) run ./cmd/planlint
+
+# Fuzz smoke: 10 s of FuzzMarchImageCulling, which checks the culled
+# ImageData marching sweep against an exhaustive all-tets reference on
+# small random volumes (NaN, ±Inf and on-isovalue levels included).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzMarchImageCulling$$' -fuzztime=10s ./internal/filters
 
 build:
 	$(GO) build ./...

@@ -75,14 +75,14 @@ var surfaceArena = par.NewArena(func() *surfaceBuilder {
 // the canonical (low-id first) edge orientation, so the stored position
 // and attributes are bit-identical no matter which tetrahedron — or which
 // parallel chunk — touches the edge first.
-func (b *surfaceBuilder) edgeVertex(i, j int, level func(int) float64, iso float64) int32 {
+func (b *surfaceBuilder) edgeVertex(i, j int, level []float64, iso float64) int32 {
 	key := data.PackPair(i, j)
 	id, added := b.edges.GetOrPut(key, int32(len(b.pts)))
 	if !added {
 		return id
 	}
 	lo, hi := data.UnpackPair(key)
-	v0, v1 := level(lo), level(hi)
+	v0, v1 := level[lo], level[hi]
 	t := 0.5
 	if v0 != v1 {
 		t = (iso - v0) / (v1 - v0)
@@ -103,14 +103,15 @@ func (b *surfaceBuilder) edgeVertex(i, j int, level func(int) float64, iso float
 
 // marchTet emits the isosurface triangles of one tetrahedron. level holds
 // the per-point contouring scalar (field value for isosurfaces, signed
-// plane distance for slices); iso is the threshold. All scratch lives in
-// fixed-size locals — the per-tet path allocates nothing.
-func (b *surfaceBuilder) marchTet(t [4]int, level func(int) float64, iso float64) {
+// plane distance for slices), indexed by point id; iso is the threshold.
+// All scratch lives in fixed-size locals — the per-tet path allocates
+// nothing.
+func (b *surfaceBuilder) marchTet(t [4]int, level []float64, iso float64) {
 	var inside [4]bool
 	var nIn int
 	var v [4]float64
 	for i, id := range t {
-		v[i] = level(id)
+		v[i] = level[id]
 		if v[i] >= iso {
 			inside[i] = true
 			nIn++
@@ -243,12 +244,54 @@ func (g *surfaceBuilder) materialize(src data.Dataset) *data.PolyData {
 	return out
 }
 
+// marchCubes marches the ImageData cubes with flat cube index in
+// [start, end), i-fastest. A cube whose 8 corner levels all fall on one
+// side of iso — counted with marchTet's own predicate, so NaN levels
+// classify exactly as they do there — is skipped: each of its Kuhn tets
+// would have nIn of 0 or 4 and emit nothing. Every other cube runs its
+// six tets through marchTet in Kuhn order, so the output is the one an
+// exhaustive tet sweep produces, byte for byte.
+func (b *surfaceBuilder) marchCubes(im *data.ImageData, start, end int, level []float64, iso float64) {
+	nx, ny := im.Dims[0], im.Dims[1]
+	cx, cy := nx-1, ny-1
+	// Flat offset of each corner (bitmask order) from the cube's base.
+	var off [8]int
+	for c := range off {
+		off[c] = c&1 + (c>>1&1)*nx + (c>>2&1)*nx*ny
+	}
+	i, j, k := start%cx, (start/cx)%cy, start/(cx*cy)
+	var corner [8]int
+	for c := start; c < end; c++ {
+		base := im.Index(i, j, k)
+		nIn := 0
+		for q, o := range off {
+			corner[q] = base + o
+			if level[base+o] >= iso {
+				nIn++
+			}
+		}
+		if nIn != 0 && nIn != 8 {
+			for _, t := range kuhnTets {
+				b.marchTet([4]int{corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]}, level, iso)
+			}
+		}
+		if i++; i == cx {
+			i = 0
+			if j++; j == cy {
+				j = 0
+				k++
+			}
+		}
+	}
+}
+
 // marchSurface runs the marching-tetrahedra sweep over the dataset as a
 // pipelined ordered sweep: chunks fill arena-pooled builders in
 // parallel while a single consumer absorbs them into an accumulator in
 // chunk index order as they complete — the merge overlaps the sweep
-// instead of waiting for a barrier, with identical output.
-func marchSurface(ctx context.Context, ds data.Dataset, level func(int) float64, iso float64) (*data.PolyData, error) {
+// instead of waiting for a barrier, with identical output. level holds
+// one contouring value per point of ds.
+func marchSurface(ctx context.Context, ds data.Dataset, level []float64, iso float64) (*data.PolyData, error) {
 	gb := surfaceArena.Get()
 	defer surfaceArena.Put(gb)
 	gb.bind(ds)
@@ -256,10 +299,9 @@ func marchSurface(ctx context.Context, ds data.Dataset, level func(int) float64,
 	var err error
 	switch d := ds.(type) {
 	case *data.ImageData:
-		nCubes := imageCubeCount(d)
-		err = par.OrderedSweep(ctx, nCubes, surfaceArena, nil, func(b *surfaceBuilder, start, end int) {
+		err = par.OrderedSweep(ctx, imageCubeCount(d), surfaceArena, nil, func(b *surfaceBuilder, start, end int) {
 			b.bind(ds)
-			imageTetsRange(d, start, end, func(t [4]int) { b.marchTet(t, level, iso) })
+			b.marchCubes(d, start, end, level, iso)
 		}, consume)
 	case *data.UnstructuredGrid:
 		tets := GridTets(d)
@@ -300,7 +342,7 @@ func ContourContext(ctx context.Context, ds data.Dataset, fieldName string, valu
 	if !marchable(ds) {
 		return nil, fmt.Errorf("filters: contour: unsupported dataset type %s", ds.TypeName())
 	}
-	return marchSurface(ctx, ds, func(i int) float64 { return f.Scalar(i) }, value)
+	return marchSurface(ctx, ds, f.Data, value)
 }
 
 // marchable reports whether the dataset type has a tetrahedral sweep.
@@ -408,5 +450,34 @@ func SliceContext(ctx context.Context, ds data.Dataset, plane vmath.Plane) (*dat
 	if !marchable(ds) {
 		return nil, fmt.Errorf("filters: slice: unsupported dataset type %s", ds.TypeName())
 	}
-	return marchSurface(ctx, ds, func(i int) float64 { return plane.Eval(ds.Point(i)) }, 0)
+	lb := levelArena.Get()
+	defer levelArena.Put(lb)
+	level := lb.sized(ds.NumPoints())
+	if err := par.For(ctx, len(level), func(start, end int) {
+		for i := start; i < end; i++ {
+			level[i] = plane.Eval(ds.Point(i))
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return marchSurface(ctx, ds, level, 0)
 }
+
+// levelBuf is a pooled per-point level buffer: Slice evaluates the plane
+// once per point into it before marching.
+type levelBuf struct{ v []float64 }
+
+// Reset implements par.Resetter.
+func (l *levelBuf) Reset() { l.v = l.v[:0] }
+
+// sized returns the buffer resized to n values, growing it if needed.
+// The contents are unspecified; the caller overwrites every value.
+func (l *levelBuf) sized(n int) []float64 {
+	if cap(l.v) < n {
+		l.v = make([]float64, n)
+	}
+	l.v = l.v[:n]
+	return l.v
+}
+
+var levelArena = par.NewArena(func() *levelBuf { return &levelBuf{} })

@@ -123,6 +123,16 @@ func TestSliceParallelEquivalence(t *testing.T) {
 		}
 		return out
 	})
+	// An axis-aligned plane through a layer of grid nodes: levels exactly
+	// 0 on whole rows of corners, the tie case of the cube culling.
+	axis := vmath.NewPlane(vol.Point(vol.Index(9, 0, 0)), vmath.V(1, 0, 0))
+	equivalentWorkerCounts(t, "slice-axis", func() *data.PolyData {
+		out, err := Slice(vol, axis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
 }
 
 func TestClipPolyDataParallelEquivalence(t *testing.T) {

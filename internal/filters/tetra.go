@@ -79,13 +79,6 @@ func GridTets(ug *data.UnstructuredGrid) [][4]int {
 	return out
 }
 
-// ImageTets enumerates the Kuhn tetrahedra of every cube of an ImageData
-// without materializing them: fn is called with the 4 flat point indices of
-// each tet.
-func ImageTets(im *data.ImageData, fn func(t [4]int)) {
-	imageTetsRange(im, 0, imageCubeCount(im), fn)
-}
-
 // imageCubeCount returns the number of cells (cubes) of an ImageData —
 // the unit the parallel marching sweep chunks over.
 func imageCubeCount(im *data.ImageData) int {
@@ -94,26 +87,6 @@ func imageCubeCount(im *data.ImageData) int {
 		return 0
 	}
 	return (nx - 1) * (ny - 1) * (nz - 1)
-}
-
-// imageTetsRange enumerates the Kuhn tetrahedra of the cubes with flat
-// cube index in [start, end), in the same i-fastest order as a full
-// sweep — so concatenating ranges in order reproduces ImageTets exactly.
-func imageTetsRange(im *data.ImageData, start, end int, fn func(t [4]int)) {
-	nx, ny := im.Dims[0], im.Dims[1]
-	cx, cy := nx-1, ny-1
-	var corner [8]int
-	for c := start; c < end; c++ {
-		i := c % cx
-		j := (c / cx) % cy
-		k := c / (cx * cy)
-		for b := 0; b < 8; b++ {
-			corner[b] = im.Index(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
-		}
-		for _, t := range kuhnTets {
-			fn([4]int{corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]})
-		}
-	}
 }
 
 // TetVolume returns the signed volume of the tetrahedron (a,b,c,d).

@@ -19,7 +19,8 @@ import (
 // Execution is incremental: every pipeline stage is keyed by its
 // canonical subtree hash (plus the on-disk identity of any reader files
 // feeding it), and the engine memoizes the constructed proxy per key
-// across ExecPlan calls. Re-executing a plan in which a repair iteration
+// from one ExecPlan call to the next (the memo keeps the last plan's
+// stages only). Re-executing a plan in which a repair iteration
 // changed one property therefore re-runs only the changed stage and its
 // downstream — upstream stages keep their computed datasets, and
 // Engine.Executions() advances only by the changed-stage count. The keys
@@ -57,25 +58,35 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 		e.planProxies = map[string]*Proxy{}
 	}
 	shotsBefore := len(e.Screenshots)
+	// The engine holds one plan's state: the previous run's pipeline
+	// list, views and displays are replaced, not appended to, so a
+	// long-lived session engine stays flat across turns.
+	e.Pipeline = nil
+	e.Views = nil
+	e.Reps = map[repKey]*Proxy{}
+	e.renderedOnce = map[*Proxy]bool{}
 
 	hashes := p.StageHashes()
 	proxies := make([]*Proxy, len(p.Stages))
+	used := make(map[string]bool, len(p.Stages))
 
 	// Pass 1: pipeline stages, views and displays, in plan order.
 	for i, st := range p.Stages {
 		switch {
 		case st.IsPipeline():
 			key := e.planExecKey(p, i, hashes)
-			if prox, ok := e.planProxies[key]; ok {
-				proxies[i] = prox
-				continue
-			}
-			prox, err := e.buildPlanProxy(st, proxies)
-			if err != nil {
-				return nil, err
+			used[key] = true
+			prox, ok := e.planProxies[key]
+			if !ok {
+				var err error
+				if prox, err = e.buildPlanProxy(st, proxies); err != nil {
+					return nil, err
+				}
+				e.planProxies[key] = prox
 			}
 			proxies[i] = prox
-			e.planProxies[key] = prox
+			e.Pipeline = append(e.Pipeline, prox)
+			e.ActiveSource = prox
 		case st.Kind == plan.StageView:
 			view := e.newProxy(e.schema("RenderView"))
 			view.RegName = st.ID
@@ -93,6 +104,14 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 			if err := e.execPlanDisplay(st, proxies); err != nil {
 				return nil, err
 			}
+		}
+	}
+
+	// The memo keeps only this plan's stages: a proxy the plan no longer
+	// uses would otherwise pin its dataset for the engine's lifetime.
+	for key := range e.planProxies {
+		if !used[key] {
+			delete(e.planProxies, key)
 		}
 	}
 
@@ -197,8 +216,6 @@ func (e *Engine) buildPlanProxy(st *plan.Stage, proxies []*Proxy) (*Proxy, error
 	if len(st.Inputs) > 0 {
 		prox.Input = proxies[st.Inputs[0]]
 	}
-	e.Pipeline = append(e.Pipeline, prox)
-	e.ActiveSource = prox
 	return prox, nil
 }
 

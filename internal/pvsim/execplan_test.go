@@ -3,6 +3,7 @@ package pvsim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,6 +117,46 @@ func TestExecPlanIncrementalRepairIteration(t *testing.T) {
 	}
 	if len(e.Screenshots) != 3 {
 		t.Fatalf("screenshots = %d, want 3", len(e.Screenshots))
+	}
+}
+
+// TestExecPlanEngineStateStaysFlat: a long edit session holds one
+// plan's state. Across 60 isovalue edits on one engine, the pipeline
+// list, views, displays and the plan memo stay the size turn 2 left
+// them, each edit still recomputes only the contour, and the pipeline
+// list is in plan order.
+func TestExecPlanEngineStateStaysFlat(t *testing.T) {
+	e := testEngine(t)
+	type state struct{ pipeline, views, reps, memo int }
+	snap := func() state {
+		return state{len(e.Pipeline), len(e.Views), len(e.Reps), len(e.planProxies)}
+	}
+	var turn2 state
+	for turn := 1; turn <= 60; turn++ {
+		iso := fmt.Sprintf("[%.3f]", 0.3+0.005*float64(turn))
+		p := compilePlan(t, strings.Replace(planIsoScript, "[0.5]", iso, 1))
+		before := e.Executions()
+		if _, err := e.ExecPlan(context.Background(), p); err != nil {
+			t.Fatalf("turn %d: %v", turn, err)
+		}
+		if turn > 1 {
+			if delta := e.Executions() - before; delta != 1 {
+				t.Fatalf("turn %d executed %d stages, want 1 (the contour)", turn, delta)
+			}
+		}
+		got := snap()
+		switch {
+		case turn == 2:
+			turn2 = got
+			if got != (state{pipeline: 2, views: 1, reps: 1, memo: 2}) {
+				t.Fatalf("turn 2 engine state = %+v", got)
+			}
+		case turn > 2 && got != turn2:
+			t.Fatalf("turn %d engine state = %+v, turn 2 left %+v", turn, got, turn2)
+		}
+		if e.Pipeline[0].Class.name != "LegacyVTKReader" || e.Pipeline[1].Class.name != "Contour" {
+			t.Fatalf("turn %d pipeline order = %s, %s", turn, e.Pipeline[0].Class.name, e.Pipeline[1].Class.name)
+		}
 	}
 }
 

@@ -177,7 +177,11 @@ func (c *Camera) clippingRange(b vmath.AABB) (near, far float64) {
 		near = math.Min(near, d)
 		far = math.Max(far, d)
 	}
-	pad := (far - near) * 0.05
+	// Pad by 5% of the depth extent, but never by less than a small share
+	// of the bounds' size: a flat prop seen edge-on has zero depth
+	// extent, and rounding in the projection would otherwise put it
+	// outside [near, far] and blank the frame.
+	pad := math.Max((far-near)*0.05, b.Diagonal()*1e-3)
 	near -= pad
 	far += pad
 	minNear := far * 1e-4
