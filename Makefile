@@ -31,9 +31,13 @@ plan-validate:
 
 # Fuzz smoke: 10 s of FuzzMarchImageCulling, which checks the culled
 # ImageData marching sweep against an exhaustive all-tets reference on
-# small random volumes (NaN, ±Inf and on-isovalue levels included).
+# small random volumes (NaN, ±Inf and on-isovalue levels included), and
+# 10 s of FuzzParseIntent, which feeds the intent parser arbitrary text
+# seeded from every scenario prompt (no panic; a resolution is read
+# whole, 2–5 digits per side, or not at all).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMarchImageCulling$$' -fuzztime=10s ./internal/filters
+	$(GO) test -run '^$$' -fuzz '^FuzzParseIntent$$' -fuzztime=10s ./internal/llm
 
 build:
 	$(GO) build ./...

@@ -38,9 +38,6 @@ func (f *Field) NumTuples() int {
 // Value returns component c of tuple i.
 func (f *Field) Value(i, c int) float64 { return f.Data[i*f.NumComponents+c] }
 
-// SetValue sets component c of tuple i.
-func (f *Field) SetValue(i, c int, v float64) { f.Data[i*f.NumComponents+c] = v }
-
 // Scalar returns tuple i of a 1-component field.
 func (f *Field) Scalar(i int) float64 { return f.Data[i*f.NumComponents] }
 

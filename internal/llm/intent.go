@@ -92,8 +92,10 @@ type TaskSpec struct {
 	InputFile  string
 	Ops        []Op
 	Screenshot string
-	Width      int
-	Height     int
+	// Width and Height are the requested image size in pixels, 2–5
+	// digits each; both are 0 when the text names no size.
+	Width  int
+	Height int
 	// ViewDirection is "+X", "-X", ..., "isometric" or "" (default).
 	ViewDirection string
 	// ColorArray colors results by this point array ("" = none).
@@ -109,7 +111,7 @@ const numPat = `(-?\d+(?:\.\d+)?)`
 var (
 	fileRe      = regexp.MustCompile(`(?i)file(?:\s+named)?\s+['"]?([\w\-.]+?\.(?:vtk|ex2|exo|e))['"]?`)
 	shotRe      = regexp.MustCompile(`(?i)(?:filename|file name)\s+['"]?([\w\-.]+?\.png)['"]?`)
-	resRe       = regexp.MustCompile(`(?i)(\d{3,5})\s*[xX×]\s*(\d{3,5})\s*pixels?`)
+	resRe       = regexp.MustCompile(`(?i)([1-9]\d{1,4})\s*[xX×]\s*([1-9]\d{1,4})\s*pixels?`)
 	isoRe       = regexp.MustCompile(`(?i)isosurface(?:s)?\s+of\s+(?:the\s+)?(?:variable\s+)?['"]?(\w+)['"]?\s+at\s+(?:value\s+)?` + numPat)
 	isoMultiRe  = regexp.MustCompile(`(?i)isosurfaces\s+of\s+(?:the\s+)?(?:variable\s+)?['"]?(\w+)['"]?\s+at\s+(?:the\s+)?values\s+(` + numPat + `(?:(?:\s*,\s*|\s+and\s+)` + numPat + `)*)`)
 	numsRe      = regexp.MustCompile(numPat)

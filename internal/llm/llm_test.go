@@ -375,3 +375,28 @@ func TestParseIntentGenericText(t *testing.T) {
 		t.Errorf("spec = %+v", spec)
 	}
 }
+
+// TestParseIntentResolution pins the "W x H pixels" grammar: 2–5 digit
+// sizes are honoured, anything else leaves both dimensions unset.
+func TestParseIntentResolution(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		w, h int
+	}{
+		{"The rendered view and saved screenshot should be 160 x 90 pixels.", 160, 90},
+		{"The rendered view and saved screenshot should be 1920 x 1080 pixels.", 1920, 1080},
+		{"Save a 64×48 pixel image.", 64, 48},
+		{"Make it 10X10 pixels.", 10, 10},
+		{"Make it 99999 x 99999 pixels.", 99999, 99999},
+		{"Make it 0640 x 480 pixels.", 640, 480},
+		{"Make it 9 x 9 pixels.", 0, 0},
+		{"Make it 00 x 50 pixels.", 0, 0},
+		{"Make it 160 x 90.", 0, 0},
+		{"Make it 123456 x 1080000 pixels.", 0, 0},
+	} {
+		spec := ParseIntent(tc.text)
+		if spec.Width != tc.w || spec.Height != tc.h {
+			t.Errorf("%q: resolution = %dx%d, want %dx%d", tc.text, spec.Width, spec.Height, tc.w, tc.h)
+		}
+	}
+}

